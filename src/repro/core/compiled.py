@@ -1,9 +1,8 @@
 """The generated-code posting fast path (the ROADMAP's "compile tier").
 
-The interpreter in :mod:`repro.core.posting` pays, per active trigger per
-posting: a ``TriggerState`` decode, a registry lookup, a fresh ``evaluate``
-closure, and :meth:`IntFsm.advance`'s linear transition search plus one
-pseudo-int dictionary hop per mask.  For triggers the ODE4xx pass
+The interpreter (:meth:`IntFsm.advancer`) pays, per active trigger per
+posting, a fresh mask-evaluation closure, the linear transition search,
+and one pseudo-int dictionary hop per mask.  For triggers the ODE4xx pass
 (:mod:`repro.analysis.compilable`) proves COMPILABLE — pure masks, a
 resolvable free-name environment, a machine small enough to specialize,
 and no immediate action that re-enters posting mid-advance — all of that
@@ -24,19 +23,22 @@ Artifacts are cached per ``TriggerInfo`` and keyed by a process-global
 shape): any trigger add/remove (class (re)compilation, shim registration)
 or strict-mode flip bumps the version and evicts every artifact, so a
 stale closure can never fire for a redefined trigger.  Correctness never
-depends on codegen — whenever the pass withholds its proof (or obs
-tracing wants per-mask events) the posting loop falls back to the
-interpreter and counts ``posting.compiled_fallbacks``.
+depends on codegen — whenever the pass withholds its proof,
+:meth:`CompiledTier.advancer_for` hands back the interpreter, which has
+the same signature, and the posting kernel counts
+``posting.compiled_fallbacks``.  Tracing runs the same code: the kernel
+re-binds an artifact's mask globals to emitting wrappers
+(:meth:`CompiledArtifact.bind`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
+import types
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import FSMError
-from repro.events.fsm import DEAD, MAX_PSEUDO_STEPS
+from repro.events.fsm import DEAD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import IntFsm, TriggerInfo
@@ -130,44 +132,40 @@ def _unroll(
     steps: int,
     seen: bool,
     fixed: dict[str, bool],
+    visited: frozenset[int],
     indent: str,
     lines: list[str],
     budget: _Budget,
 ) -> None:
-    """Emit the quiesce walk from *current* (mirrors ``_quiesce_tracking``).
+    """Emit the quiesce walk from *current* (mirrors ``quiesce_walk``).
 
     ``fixed`` pins mask outcomes already observed on this path: a compiled
     mask is proven pure, so within one posting instant it cannot change
     its mind — the generated code follows the pinned arm while still
-    advancing the step counter the interpreter would have charged for the
-    re-evaluation.
+    advancing the step counter the interpreter charges for the pseudo
+    event.  ``visited`` holds the states this walk has entered: reaching
+    one again is the instant's fixpoint, where the interpreter stops too.
     """
     while True:
         if current == DEAD or not fsm.states[current].masks:
             budget.charge()
             lines.append(f"{indent}return ({current}, True, {seen}, {steps})")
             return
-        if steps >= MAX_PSEUDO_STEPS:
-            # The pinned outcomes force a cycle; the interpreter raises
-            # after MAX_PSEUDO_STEPS evaluations and so do we.
-            budget.charge()
-            lines.append(
-                f"{indent}raise FSMError('mask cascade did not quiesce')"
-            )
-            return
         mask = fsm.states[current].masks[0]
         if mask in fixed:
             outcome = fixed[mask]
             nxt, consumed = fsm.move(current, fsm.pseudo_ints[(mask, outcome)])
             steps += 1
-            if not consumed:
+            if consumed:
+                current = nxt
+                seen = seen or (current != DEAD and fsm.states[current].accept)
+            if not consumed or current in visited:
                 budget.charge()
                 lines.append(
                     f"{indent}return ({current}, True, {seen}, {steps})"
                 )
                 return
-            current = nxt
-            seen = seen or (current != DEAD and fsm.states[current].accept)
+            visited = visited | {current}
             continue
         budget.charge()
         lines.append(f"{indent}if {mask_ids[mask]}(obj, params, event):")
@@ -176,13 +174,16 @@ def _unroll(
             if not outcome:
                 lines.append(f"{indent}else:")
             nxt, consumed = fsm.move(current, fsm.pseudo_ints[(mask, outcome)])
-            if not consumed:
+            arm_seen = seen or (
+                consumed and nxt != DEAD and fsm.states[nxt].accept
+            )
+            if not consumed or nxt in visited:
                 budget.charge()
+                state = nxt if consumed else current
                 lines.append(
-                    f"{arm_indent}return ({current}, True, {seen}, {steps + 1})"
+                    f"{arm_indent}return ({state}, True, {arm_seen}, {steps + 1})"
                 )
                 continue
-            arm_seen = seen or (nxt != DEAD and fsm.states[nxt].accept)
             _unroll(
                 fsm,
                 mask_ids,
@@ -190,6 +191,7 @@ def _unroll(
                 steps + 1,
                 arm_seen,
                 {**fixed, mask: outcome},
+                visited | {nxt},
                 arm_indent,
                 lines,
                 budget,
@@ -202,8 +204,8 @@ def generate_advance_source(
 ) -> str:
     """Generate the specialized ``_advance`` source for one machine.
 
-    The function mirrors :meth:`IntFsm.advance` exactly — same returned
-    ``(state, consumed, accepted, pseudo_steps)`` quadruple, same
+    The function mirrors the interpreter (:meth:`IntFsm.advancer`) exactly
+    — same returned ``(state, consumed, accepted, steps)`` quadruple, same
     anchored-death rule, same acceptance-of-visited-states semantics —
     with the transition search and quiesce loop resolved at compile time.
     Raises :class:`PlanError` when the decision tree blows the budget.
@@ -218,7 +220,10 @@ def generate_advance_source(
             lines.append(f"        if eventnum == {tr.eventnum}:")
             nxt = tr.newstate
             seen = nxt != DEAD and fsm.states[nxt].accept
-            _unroll(fsm, mask_ids, nxt, 0, seen, {}, " " * 12, lines, budget)
+            _unroll(
+                fsm, mask_ids, nxt, 0, seen, {}, frozenset((nxt,)),
+                " " * 12, lines, budget,
+            )
         # Event not in the sparse transition list: anchored machines die
         # on in-alphabet misses, everything else ignores the event.
         if fsm.anchored:
@@ -256,6 +261,19 @@ class CompiledArtifact:
     advance: Callable[..., tuple]
     source: str
     version: int
+    #: the module namespace the code runs in, and mask name -> its global
+    namespace: dict = dataclasses.field(repr=False, default_factory=dict)
+    mask_ids: dict = dataclasses.field(repr=False, default_factory=dict)
+
+    def bind(self, masks) -> Callable[..., tuple]:
+        """The same generated code with its mask globals re-bound to
+        *masks* (e.g. emitting wrappers for tracing) — no second codegen."""
+        namespace = dict(self.namespace)
+        for name, ident in self.mask_ids.items():
+            namespace[ident] = masks[name]
+        advance = types.FunctionType(self.advance.__code__, namespace, "_advance")
+        advance.rebind = self.bind
+        return advance
 
 
 def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
@@ -264,10 +282,7 @@ def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
     used_masks = sorted({m for s in fsm.states for m in s.masks})
     mask_ids = {name: f"_m{i}" for i, name in enumerate(used_masks)}
     source = generate_advance_source(fsm, mask_ids)
-    namespace: dict = {
-        "FSMError": FSMError,
-        "_ALPHA": fsm.alphabet_ints,
-    }
+    namespace: dict = {"_ALPHA": fsm.alphabet_ints}
     for name, ident in mask_ids.items():
         namespace[ident] = info.masks[name]
     code = compile(
@@ -276,12 +291,16 @@ def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
         "exec",
     )
     exec(code, namespace)
-    return CompiledArtifact(
+    artifact = CompiledArtifact(
         info=info,
         advance=namespace["_advance"],
         source=source,
         version=schema_version(),
+        namespace=namespace,
+        mask_ids=mask_ids,
     )
+    artifact.advance.rebind = artifact.bind
+    return artifact
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +352,9 @@ class CompiledTier:
 
     def advancer_for(
         self, info: "TriggerInfo", metatype: Optional["Metatype"] = None
-    ) -> Optional[Callable[..., tuple]]:
-        """The compiled advance for *info*, or None (proof withheld)."""
+    ) -> Callable[..., tuple]:
+        """The fastest proven advance for *info*: its generated code, or
+        ``info.interpreter`` when the ODE4xx proof is withheld."""
         self._maybe_evict()
         key = id(info)
         artifact = self._artifacts.get(key, _UNSET)
@@ -345,7 +365,7 @@ class CompiledTier:
                     artifact = self._classify_and_compile(info, metatype)
                     self._pins[key] = info
                     self._artifacts[key] = artifact
-        return None if artifact is None else artifact.advance
+        return info.interpreter if artifact is None else artifact.advance
 
     def artifact_for(self, info: "TriggerInfo") -> Optional[CompiledArtifact]:
         """The cached artifact (for tests and dump introspection)."""

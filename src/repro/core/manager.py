@@ -26,10 +26,11 @@ from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
     INDEPENDENT_LIST,
-    PostingStats,
+    PostingSystem,
     TriggerContext,
     post_event,
     run_action,
+    start_state,
 )
 from repro.core.trigger_def import TriggerInfo
 from repro.core.trigger_index import TriggerIndex
@@ -52,28 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover
 TX_EVENT_OBJECTS = "trigger:tx_event_objects"
 
 
-class TriggerSystem:
+class TriggerSystem(PostingSystem):
     """Run-time trigger facilities for one database."""
 
     def __init__(self, db: "Database"):
+        super().__init__()
         self.db = db
         self.index = TriggerIndex(db)
-        self.stats = PostingStats()
         metrics = getattr(db, "metrics", None)
         if metrics is not None:
             metrics.register_source("posting", self.stats)
-        # Static confluence verdicts, lazily computed per anchor class:
-        # metatype id -> frozenset of non-confluent trigger-name pairs.
-        self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
-        # The generated-code posting fast path (DESIGN.md §14).  The tier
-        # is process-global (trigger infos and their artifacts are); the
-        # flag is per-system so a database can opt out (benchmarks use it
-        # for interpreted baselines).  Correctness never depends on it:
-        # any withheld ODE4xx proof falls back to the interpreter.
-        from repro.core.compiled import global_compiled_tier
-
-        self.compiled = global_compiled_tier()
-        self.compiled_enabled = True
         # The trigger-state concurrency-control A/B switch (DESIGN.md §15):
         # ``None`` means strict 2PL (the baseline — advances X-lock and
         # rewrite the state record in place); a TriggerVersionManager means
@@ -127,29 +116,10 @@ class TriggerSystem:
         tstate = TriggerState(
             triggernum=info.triggernum,
             trigobj=ptr,
-            statenum=info.fsm.start,
+            statenum=start_state(self, info, handle.obj, params),
             trigobjtype=info.defining_type,
             params=params,
         )
-
-        def evaluate(mask_name: str) -> bool:
-            from repro.core.posting import NULL_OCCURRENCE
-
-            # Activation-time quiescing, not posting: counted separately so
-            # per-posting overhead numbers (E3) stay honest.
-            self.stats.masks_evaluated_activation += 1
-            outcome = bool(info.masks[mask_name](handle.obj, params, NULL_OCCURRENCE))
-            if obs.ENABLED:
-                obs.emit(
-                    "mask.eval",
-                    mask=mask_name,
-                    trigger=info.name,
-                    outcome=outcome,
-                    phase="activation",
-                )
-            return outcome
-
-        tstate.statenum, _ = info.fsm.quiesce(tstate.statenum, evaluate)
         state_rid = db.storage.insert(txn.txid, tstate.encode())
         self.index.add(txn, ptr.rid, state_rid)
         if self.versions is not None:
@@ -300,51 +270,6 @@ class TriggerSystem:
             if self.versions is not None:
                 self.versions.mark_deactivated(txn, state_rid)
 
-    # -- firing-order guard (DESIGN.md §9) ---------------------------------------
-
-    def nonconfluent_pairs(self, cls: type) -> frozenset[frozenset[str]]:
-        """The statically non-confluent trigger-name pairs of *cls*.
-
-        Computed once per class from inferred action effects (see
-        ``repro.analysis.confluence``) and cached; analysis failures
-        degrade to "no known races" rather than breaking posting.
-        """
-        metatype = getattr(cls, "__metatype__", None)
-        if metatype is None:
-            return frozenset()
-        cached = self._confluence_cache.get(id(metatype))
-        if cached is None:
-            from repro.analysis.confluence import non_confluent_pairs
-
-            try:
-                cached = non_confluent_pairs(metatype)
-            except Exception:
-                cached = frozenset()
-            self._confluence_cache[id(metatype)] = cached
-        return cached
-
-    def order_ready(self, ready: list, cls: type) -> list:
-        """Canonical firing order for one posting's ready set.
-
-        The documented order is *activation order* — exactly what the
-        trigger index yields — so the list is returned unchanged.  The
-        guard's job is detection: when the set contains a pair the
-        analyzer proved non-confluent, the posting is counted in
-        ``stats.nonconfluent_firing_sets`` (ODE202 flags the same pair
-        statically; suppressing it and relying on this order is the
-        sanctioned escape hatch).
-        """
-        pairs = self.nonconfluent_pairs(cls)
-        if pairs:
-            names = [record.info.name for record in ready]
-            if any(
-                frozenset((names[i], names[j])) in pairs
-                for i in range(len(names))
-                for j in range(i + 1, len(names))
-            ):
-                self.stats.nonconfluent_firing_sets += 1
-        return ready
-
     # -- posting entry points -----------------------------------------------------
 
     def post_event(
@@ -400,6 +325,7 @@ class TriggerSystem:
                     f"{metatype.name} declares no user-defined event {name!r}"
                 )
             batch.append((eventnum, ptr, obj, None))
+        self.stats.batched += len(batch)
         return post_many(self, db, batch)
 
     # -- transaction events (Section 5.5) --------------------------------------------

@@ -31,7 +31,13 @@ import dataclasses
 import functools
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.posting import PostingStats, TriggerContext
+from repro.core.posting import (
+    EventOccurrence,
+    PostingSystem,
+    TriggerContext,
+    post_to_machines,
+    start_state,
+)
 from repro.core.trigger_def import CouplingMode, TriggerInfo
 from repro.errors import (
     TriggerArgumentError,
@@ -101,8 +107,6 @@ class MonitoredHandle:
 
             @functools.wraps(method)
             def call(*args: Any, **kwargs: Any) -> Any:
-                from repro.core.posting import EventOccurrence
-
                 if before is not None:
                     self._system.post(
                         self._obj,
@@ -131,29 +135,50 @@ class MonitoredHandle:
         self._system.post_user_event(self._obj, event_name)
 
 
-class LocalTriggerSystem:
-    """Transient trigger states for volatile objects — zero storage cost."""
+class _LocalStore:
+    """The posting kernel's state store for local rules: plain memory."""
+
+    def __init__(self, system: "LocalTriggerSystem"):
+        self.system = system
+
+    def load(self, local_id: int, obj: Any, eventnum: int, occurrence):
+        state = self.system._states[local_id]
+        info = state.info
+        metatype = getattr(type(obj), "__metatype__", None)
+        return state, info, self.system.advancer(info, metatype), info.masks
+
+    def save(self, local_id, state, info, new_state, span):
+        state.statenum = new_state  # in-memory: no write lock, no log
+
+    def record(self, local_id, state, info):
+        return state
+
+    def fire(self, state: LocalTriggerState) -> None:
+        self.system._fire(state)
+
+
+class LocalTriggerSystem(PostingSystem):
+    """Transient trigger states for volatile objects — zero storage cost.
+
+    Local states live in memory, so the compiled tier only saves the
+    dispatch work — but postings run the same kernel, artifact cache, and
+    ODE4xx gate as the persistent path (DESIGN.md §14).
+    """
 
     def __init__(self, db: "Database | None" = None):
+        super().__init__()
         self._states: dict[int, LocalTriggerState] = {}
         self._by_obj: dict[int, list[int]] = {}
         self._next_id = 1
         self._end_list: list[tuple[LocalTriggerState, TriggerInfo]] = []
-        self.stats = PostingStats()
-        # Local states live in memory, so the compiled tier only saves the
-        # dispatch work — but it is the same artifact cache and the same
-        # ODE4xx gate as the persistent path (DESIGN.md §14).
-        from repro.core.compiled import global_compiled_tier
-
-        self.compiled = global_compiled_tier()
-        self.compiled_enabled = True
+        self._store = _LocalStore(self)
         self.db = db
         if db is not None:
             # Local states are deallocated at end-of-transaction.
             db.txn_manager.on_begin(self._install_hooks)
 
     def _install_hooks(self, txn) -> None:
-        txn.before_commit.append(lambda t: self._drain_end_list())
+        txn.before_commit.append(lambda t: self.drain_end_list())
         txn.after_commit.append(lambda t: self.clear())
         txn.after_abort.append(lambda t: self.clear())
 
@@ -185,18 +210,10 @@ class LocalTriggerSystem:
             local_id=self._next_id,
             info=info,
             obj=obj,
-            statenum=info.fsm.start,
+            statenum=start_state(self, info, obj, params),
             params=params,
         )
         self._next_id += 1
-
-        def evaluate(mask: str) -> bool:
-            from repro.core.posting import NULL_OCCURRENCE
-
-            self.stats.masks_evaluated_activation += 1
-            return bool(info.masks[mask](obj, params, NULL_OCCURRENCE))
-
-        state.statenum, _ = info.fsm.quiesce(state.statenum, evaluate)
         self._states[state.local_id] = state
         self._by_obj.setdefault(id(obj), []).append(state.local_id)
         return state.local_id
@@ -225,8 +242,6 @@ class LocalTriggerSystem:
 
     def post(self, obj: Any, eventnum: int, occurrence=None) -> int:
         """Post a basic event integer to a volatile object."""
-        from repro.core.posting import EventOccurrence
-
         if occurrence is None:
             occurrence = EventOccurrence(eventnum=eventnum)
         self.stats.events_posted += 1
@@ -234,44 +249,9 @@ class LocalTriggerSystem:
         if not local_ids:
             self.stats.skipped_no_triggers += 1
             return 0
-        ready: list[LocalTriggerState] = []
-        tier = self.compiled if self.compiled_enabled else None
-        for local_id in list(local_ids):
-            state = self._states[local_id]
-            info = state.info
-
-            if tier is not None:
-                advance = tier.advancer_for(
-                    info, getattr(type(state.obj), "__metatype__", None)
-                )
-                if advance is not None:
-                    new_state, _consumed, accepted, steps = advance(
-                        state.statenum, eventnum, state.obj, state.params, occurrence
-                    )
-                    self.stats.fsm_advances += 1
-                    self.stats.masks_evaluated_posting += steps
-                    self.stats.compiled_hits += 1
-                    state.statenum = new_state
-                    if accepted:
-                        ready.append(state)
-                    continue
-                self.stats.compiled_fallbacks += 1
-
-            def evaluate(mask: str, _info=info, _state=state) -> bool:
-                self.stats.masks_evaluated_posting += 1
-                return bool(
-                    _info.masks[mask](_state.obj, _state.params, occurrence)
-                )
-
-            result = info.fsm.advance(state.statenum, eventnum, evaluate)
-            self.stats.fsm_advances += 1
-            state.statenum = result.state  # in-memory: no write lock, no log
-            if result.accepted:
-                ready.append(state)
-        for state in ready:
-            self._fire(state)
-            self.stats.firings += 1
-        return len(ready)
+        return post_to_machines(
+            self, self._store, eventnum, obj, occurrence, list(local_ids), 0
+        )
 
     def post_user_event(self, obj: Any, name: str) -> int:
         metatype = type(obj).__metatype__
@@ -304,12 +284,9 @@ class LocalTriggerSystem:
         if not state.info.perpetual and state.local_id in self._states:
             self.deactivate(state.local_id)
 
-    def _drain_end_list(self) -> None:
+    def drain_end_list(self) -> None:
+        """Run queued end-mode local actions (at commit, or standalone)."""
         while self._end_list:
             state, _ = self._end_list.pop(0)
             if state.local_id in self._states or not state.info.perpetual:
                 self._run(state)
-
-    def drain_end_list(self) -> None:
-        """Run queued end-mode local actions (for standalone use)."""
-        self._drain_end_list()

@@ -12,7 +12,8 @@ Posting a basic event to an object:
    ``True``/``False`` pseudo-events until quiescent — and, when the state
    changed, write the TriggerState back (acquiring a **write lock**: this
    is the "triggers turn read access into write access" effect of
-   Section 6 that experiment E6 measures).
+   Section 6 that experiment E6 measures; under ``trigger_cc="mvcc"`` the
+   advance goes to a per-transaction buffer instead).
 4. Only after *all* active triggers have seen the event are the ready ones
    fired — "to prevent the action of one trigger from affecting the mask of
    another trigger".  Immediate triggers run now (sequentially, in
@@ -20,6 +21,12 @@ Posting a basic event to an object:
    unspecified order which maintains the conceptual semantics"); the other
    coupling modes queue onto the transaction's end / dependent /
    !dependent lists, processed by the commit and abort paths.
+
+Steps 3–4 are one loop, :func:`post_to_machines`, for both concurrency
+schemes, both tiers, and the in-memory local rules: what differs per
+scheme sits behind a small state store, and every advancer — generated
+code or the interpreter — has the signature ``(statenum, eventnum, obj,
+params, event) -> (state, consumed, accepted, steps)``.
 """
 
 from __future__ import annotations
@@ -44,14 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover
 END_LIST = "trigger:end_list"
 DEPENDENT_LIST = "trigger:dependent_list"
 INDEPENDENT_LIST = "trigger:independent_list"
-#: Per-transaction cache backing the compiled fast path: state_rid ->
-#: (decoded TriggerState, TriggerInfo, generated advance).  Sound under
-#: two-phase locking — the first ``storage.read`` of a state record takes
-#: a shared lock held to commit, so within one transaction nobody else
-#: can change it, and our own writes go through the cached object.  The
-#: cache dies with the transaction, so aborts need no special handling.
-#: The reserved ``"!v"`` entry (rids are ints, so no collision) pins the
-#: compile-tier schema version the cache was built against.
+#: Per-transaction cache of the 2PL state store: state_rid -> (decoded
+#: TriggerState, TriggerInfo, advance, masks).  Sound under 2PL —
+#: the first ``storage.read`` of a state record takes a shared lock held
+#: to commit, so within one transaction nobody else can change it, and
+#: our own writes go through the cached object.  The cache dies with the
+#: transaction, so aborts need no special handling.  The reserved ``"!v"``
+#: entry (rids are ints, so no collision) pins the compile-tier schema
+#: version the advances were resolved against (None: tier off).
 COMPILED_STATE_CACHE = "trigger:compiled_states"
 
 
@@ -221,191 +228,178 @@ class PostingStats:
         return {k: v - before.get(k, 0) for k, v in self.snapshot().items()}
 
 
-def post_event(
-    system: "TriggerSystem",
-    db: "Database",
-    eventnum: int,
-    ptr: PersistentPtr,
-    obj: "Persistent",
-    occurrence: EventOccurrence | None = None,
-) -> int:
-    """Post one basic event integer to one object; returns #firings queued."""
-    if occurrence is None:
-        occurrence = EventOccurrence(eventnum=eventnum)
-    stats = system.stats
-    stats.events_posted += 1
-    span = 0
-    if obs.ENABLED:
-        span = obs.begin_span(
-            "post",
-            eventnum=eventnum,
-            method=occurrence.method,
-            rid=ptr.rid,
-            type=type(obj).__name__,
-            session=db.current_session().name,
-        )
-    # Footnote 3: the persistent object's control information says whether
-    # any triggers are active — if not, no index lookup is required.
-    if not obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
-        stats.skipped_no_triggers += 1
-        if span:
-            obs.end_span(span, "post", skipped="no-active-triggers")
-        return 0
+class PostingSystem:
+    """What the posting kernel needs of a trigger system.
 
-    txn = db.txn_manager.current()
-    state_rids = system.index.lookup(txn, ptr.rid)
-    if span:
-        obs.emit(
-            "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(state_rids)
-        )
-    return _post_to_states(
-        system, db, txn, eventnum, ptr, obj, occurrence, state_rids, span
-    )
-
-
-#: "No pre-resolved compiled cache" marker for :func:`_post_to_states` —
-#: ``None`` is a legitimate resolved value (tier disabled).
-_UNSET = object()
-
-
-def _compiled_cache(system: "TriggerSystem", txn: "Transaction"):
-    """Resolve (or clear) the per-transaction compiled-state cache.
-
-    Returns the live cache dict when the compiled tier serves this
-    posting, else ``None`` — and in the latter case drops any stale
-    cache so a later re-enable cannot resurrect a state the interpreter
-    path has since rewritten.
+    Shared by the persistent :class:`~repro.core.manager.TriggerSystem`
+    and the in-memory :class:`~repro.core.monitored.LocalTriggerSystem`:
+    the posting counters, the generated-code tier (DESIGN.md §14) with
+    its per-system opt-out, and the canonical firing order.
     """
-    if system.compiled_enabled and not obs.ENABLED:
-        cache = txn.attachment(COMPILED_STATE_CACHE, dict)
-        version = system.compiled.version
-        if cache.get("!v") != version:
-            cache.clear()
-            cache["!v"] = version
-        return cache
-    stale = txn.attachments.get(COMPILED_STATE_CACHE)
-    if stale:
-        stale.clear()
-    return None
+
+    def __init__(self) -> None:
+        from repro.core.compiled import global_compiled_tier
+
+        self.stats = PostingStats()
+        # The tier is process-global (trigger infos and their artifacts
+        # are); the flag is per-system so the compiled≡interpreted
+        # differential and the interpreted benchmark rows can opt out.
+        self.compiled = global_compiled_tier()
+        self.compiled_enabled = True
+        # Static confluence verdicts, lazily computed per anchor class:
+        # metatype id -> frozenset of non-confluent trigger-name pairs.
+        self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
+
+    def advancer(self, info: TriggerInfo, defining=None):
+        """The advance posting uses for *info*: the generated code when
+        the tier is on and the ODE4xx proof holds, else the interpreter."""
+        if self.compiled_enabled:
+            return self.compiled.advancer_for(info, defining)
+        return info.interpreter
+
+    def nonconfluent_pairs(self, cls: type) -> frozenset[frozenset[str]]:
+        """The statically non-confluent trigger-name pairs of *cls*.
+
+        Computed once per class from inferred action effects (see
+        ``repro.analysis.confluence``) and cached; analysis failures
+        degrade to "no known races" rather than breaking posting.
+        """
+        metatype = getattr(cls, "__metatype__", None)
+        if metatype is None:
+            return frozenset()
+        cached = self._confluence_cache.get(id(metatype))
+        if cached is None:
+            from repro.analysis.confluence import non_confluent_pairs
+
+            try:
+                cached = non_confluent_pairs(metatype)
+            except Exception:
+                cached = frozenset()
+            self._confluence_cache[id(metatype)] = cached
+        return cached
+
+    def order_ready(self, ready: list, cls: type) -> list:
+        """Canonical firing order for one posting's ready set.
+
+        The documented order is *activation order* — exactly what the
+        trigger index yields — so the list is returned unchanged.  The
+        guard's job is detection: when the set contains a pair the
+        analyzer proved non-confluent, the posting is counted in
+        ``stats.nonconfluent_firing_sets`` (ODE202 flags the same pair
+        statically; suppressing it and relying on this order is the
+        sanctioned escape hatch).
+        """
+        pairs = self.nonconfluent_pairs(cls)
+        if pairs:
+            names = [record.info.name for record in ready]
+            if any(
+                frozenset((names[i], names[j])) in pairs
+                for i in range(len(names))
+                for j in range(i + 1, len(names))
+            ):
+                self.stats.nonconfluent_firing_sets += 1
+        return ready
 
 
-def _post_to_states(
-    system: "TriggerSystem",
-    db: "Database",
-    txn: "Transaction",
-    eventnum: int,
-    ptr: PersistentPtr,
-    obj: "Persistent",
-    occurrence: EventOccurrence,
-    state_rids: list[int],
-    span: int,
-    cache=_UNSET,
-) -> int:
-    """Advance every machine in *state_rids* on *eventnum*, then fire.
+# ---------------------------------------------------------------------------
+# The posting kernel
+# ---------------------------------------------------------------------------
 
-    The tail of one posting, after the control-flag check and the
-    trigger-index lookup: :func:`post_event` calls it with a fresh
-    lookup, :func:`post_many` with batch-cached lookups and a
-    pre-resolved compiled-tier *cache*.  Ends *span* and returns the
-    number of firings queued.
-    """
-    stats = system.stats
-    ready: list[FiringRecord] = []
 
-    if system.versions is not None:
-        # MVCC (DESIGN.md §15): the advance goes to the per-transaction
-        # buffer over copy-on-write versions — no state record is read
-        # under a lock or written here; the commit-time merge does that.
-        for state_rid in state_rids:
-            record = _advance_buffered(
-                system, db, txn, state_rid, eventnum, obj, occurrence, span
+def _emitting(masks: Mapping, info: TriggerInfo, span: int, phase: str) -> dict:
+    """*masks* wrapped so every evaluation emits a ``mask.eval`` record."""
+
+    def wrap(name, mask):
+        def evaluate(obj, params, event):
+            outcome = bool(mask(obj, params, event))
+            obs.emit(
+                "mask.eval",
+                span,
+                mask=name,
+                trigger=info.name,
+                outcome=outcome,
+                phase=phase,
             )
-            if record is not None:
-                ready.append(record)
-    else:
-        # The compiled fast path: when the tier is enabled and obs is quiet
-        # (tracing wants the interpreter's per-mask events), serve advances
-        # from generated per-trigger code and a per-transaction cache of
-        # decoded states (see _compiled_cache for the staleness rules).
-        if cache is _UNSET:
-            cache = _compiled_cache(system, txn)
+            return outcome
 
-        for state_rid in state_rids:
-            entry = cache.get(state_rid) if cache is not None else None
-            if entry is None:
-                raw = db.storage.read(txn.txid, state_rid)
-                tstate = TriggerState.decode(raw)
-                defining = db.registry.find(tstate.trigobjtype)
-                info = defining.trigger_info(tstate.triggernum)
-                if cache is not None:
-                    advance = system.compiled.advancer_for(info, defining)
-                    if advance is not None:
-                        entry = (tstate, info, advance)
-                        cache[state_rid] = entry
-                    else:
-                        stats.compiled_fallbacks += 1
+        return evaluate
+
+    return {name: wrap(name, mask) for name, mask in masks.items()}
+
+
+def start_state(
+    system: PostingSystem, info: TriggerInfo, obj: Any, params: dict
+) -> int:
+    """A freshly activated machine's state: its start state, quiesced.
+
+    An expression like ``(*a) & m`` puts the start state under a mask
+    obligation before any event arrives.  Counted apart from posting
+    (``masks_evaluated_activation``) so per-posting overhead stays honest.
+    """
+    masks = info.masks
+    if obs.ENABLED:
+        masks = _emitting(masks, info, obs.NO_SPAN, "activation")
+    state, steps = info.fsm.quiesce(
+        info.fsm.start, lambda name: masks[name](obj, params, NULL_OCCURRENCE)
+    )
+    system.stats.masks_evaluated_activation += steps
+    return state
+
+
+def post_to_machines(
+    system: PostingSystem,
+    store,
+    eventnum: int,
+    obj: Any,
+    occurrence: EventOccurrence,
+    machines,
+    span: int,
+) -> int:
+    """PostEvent steps (a)–(c) over *machines*; returns #firings.
+
+    The one FSM-advance loop, for every scheme and both tiers.  *store*
+    is the scheme's state access: ``load(key, obj, eventnum, occurrence)
+    -> (state, info, advance, masks)``, where *masks* is the table the
+    advance evaluates; ``save(key, state, info, new_state, span)`` when
+    the advance changed the state; ``record(key, state, info)`` for an
+    accepting machine; and ``fire(record)``.
+    """
+    stats = system.stats
+    tiered = system.compiled_enabled
+    load, save = store.load, store.save
+    ready = []
+    for key in machines:
+        tstate, info, advance, masks = load(key, obj, eventnum, occurrence)
+        if tiered:
+            if advance is info.interpreter:
+                stats.compiled_fallbacks += 1
             else:
-                tstate, info, advance = entry
-
-            if entry is not None:
-                old_state = tstate.statenum
-                new_state, consumed, accepted, steps = advance(
-                    old_state, eventnum, obj, tstate.params, occurrence
-                )
-                stats.fsm_advances += 1
-                stats.masks_evaluated_posting += steps
                 stats.compiled_hits += 1
-                if new_state != old_state:
-                    tstate.statenum = new_state
-                    db.storage.write(txn.txid, state_rid, tstate.encode())
-                    stats.state_writes += 1
-                if accepted:
-                    ready.append(
-                        FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-                    )
-                continue
-
-            def evaluate(mask_name: str, _info=info, _tstate=tstate) -> bool:
-                stats.masks_evaluated_posting += 1
-                outcome = bool(_info.masks[mask_name](obj, _tstate.params, occurrence))
-                if obs.ENABLED:
-                    obs.emit(
-                        "mask.eval",
-                        span,
-                        mask=mask_name,
-                        trigger=_info.name,
-                        outcome=outcome,
-                        phase="posting",
-                    )
-                return outcome
-
-            old_state = tstate.statenum
-            result = info.fsm.advance(old_state, eventnum, evaluate)
-            stats.fsm_advances += 1
-            if span:
-                obs.emit(
-                    "fsm.advance",
-                    span,
-                    trigger=info.name,
-                    from_state=old_state,
-                    to_state=result.state,
-                    consumed=result.consumed,
-                    accepted=result.accepted,
-                    pseudo_steps=result.pseudo_steps,
-                )
-            if result.state != old_state:
-                tstate.statenum = result.state
-                # The write that turns a read-only access into a write lock.
-                db.storage.write(txn.txid, state_rid, tstate.encode())
-                stats.state_writes += 1
-                if span:
-                    obs.emit(
-                        "state.write", span, state_rid=state_rid, trigger=info.name
-                    )
-            if result.accepted:
-                ready.append(
-                    FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-                )
+        if span:
+            masks = _emitting(masks, info, span, "posting")
+        if masks is not info.masks:
+            advance = advance.rebind(masks)
+        old_state = tstate.statenum
+        new_state, consumed, accepted, steps = advance(
+            old_state, eventnum, obj, tstate.params, occurrence
+        )
+        stats.fsm_advances += 1
+        stats.masks_evaluated_posting += steps
+        if span:
+            obs.emit(
+                "fsm.advance",
+                span,
+                trigger=info.name,
+                from_state=old_state,
+                to_state=new_state,
+                consumed=consumed,
+                accepted=accepted,
+                pseudo_steps=steps,
+            )
+        if new_state != old_state:
+            save(key, tstate, info, new_state, span)
+        if accepted:
+            ready.append(store.record(key, tstate, info))
 
     # Fire only after every trigger has had the basic event posted.  When
     # more than one detection completed on the same posting, consult the
@@ -423,11 +417,153 @@ def _post_to_states(
                 coupling=record.info.coupling.value,
                 order=order,
             )
-        dispatch_firing(system, db, txn, record)
+        store.fire(record)
         stats.firings += 1
-    if span:
-        obs.end_span(span, "post", firings=len(ready))
     return len(ready)
+
+
+def _resolve(db: "Database", tstate: TriggerState):
+    """(defining metatype, TriggerInfo) of a stored TriggerState —
+    through ``trigobjtype``, since an object can carry active triggers
+    from several base classes."""
+    defining = db.registry.find(tstate.trigobjtype)
+    return defining, defining.trigger_info(tstate.triggernum)
+
+
+class _TxnStore:
+    """State access for the persistent schemes; one per posting run."""
+
+    def __init__(self, system: "TriggerSystem", db: "Database", txn: "Transaction"):
+        self.system = system
+        self.db = db
+        self.txn = txn
+        #: which advancers a cached machine may reuse: the tier's schema
+        #: version, or None while the tier is off
+        self.tier_version = (
+            system.compiled.version if system.compiled_enabled else None
+        )
+
+    def record(self, rid: int, tstate: TriggerState, info: TriggerInfo):
+        return FiringRecord(PersistentPtr(self.db.name, rid), tstate, info)
+
+    def fire(self, record: FiringRecord) -> None:
+        dispatch_firing(self.system, self.db, self.txn, record)
+
+
+class _LockedStore(_TxnStore):
+    """Strict 2PL: read and decode once per transaction, write in place.
+
+    The decoded machines live in the transaction's
+    :data:`COMPILED_STATE_CACHE`, pinned to :attr:`tier_version`; their
+    advances evaluate the trigger's own masks.
+    """
+
+    def __init__(self, system, db, txn):
+        super().__init__(system, db, txn)
+        cache = txn.attachment(COMPILED_STATE_CACHE, dict)
+        if cache.get("!v") != self.tier_version:
+            cache.clear()
+            cache["!v"] = self.tier_version
+        self.cache = cache
+
+    def load(self, rid: int, obj, eventnum, occurrence):
+        machine = self.cache.get(rid)
+        if machine is None:
+            tstate = TriggerState.decode(self.db.storage.read(self.txn.txid, rid))
+            defining, info = _resolve(self.db, tstate)
+            advance = self.system.advancer(info, defining)
+            machine = self.cache[rid] = (tstate, info, advance, info.masks)
+        return machine
+
+    def save(self, rid, tstate, info, new_state, span):
+        tstate.statenum = new_state
+        # The write that turns a read-only access into a write lock.
+        self.db.storage.write(self.txn.txid, rid, tstate.encode())
+        self.system.stats.state_writes += 1
+        if span:
+            obs.emit("state.write", span, state_rid=rid, trigger=info.name)
+
+
+def recorded(outcome: bool):
+    """A mask that answers what it said at posting time."""
+    return lambda obj, params, event: outcome
+
+
+class _BufferedStore(_TxnStore):
+    """MVCC (DESIGN.md §15): advance a per-transaction buffer entry.
+
+    First touch clones the latest *committed* version of the TriggerState
+    (no lock, no read of uncommitted data — see
+    :meth:`~repro.core.versioned.TriggerVersionManager.committed_head`);
+    later touches reuse the working copy.  Every posted event is appended
+    to the entry's log — including ones the FSM ignores from the current
+    state, because a commit-time replay from a *different* head may
+    consume them — with the mask outcomes seen at posting time.
+    """
+
+    def __init__(self, system, db, txn):
+        super().__init__(system, db, txn)
+        self.versions = system.versions
+        self.buffer = self.versions.buffer_of(txn)
+        self.replays = self.versions.conflict_policy == "replay"
+
+    def load(self, rid: int, obj, eventnum, occurrence):
+        entry = self.buffer.entries.get(rid)
+        if entry is None:
+            from repro.core.versioned import BufferEntry
+
+            head = self.versions.committed_head(rid)
+            tstate = head.state.clone()
+            defining, info = _resolve(self.db, tstate)
+            entry = BufferEntry(
+                base_vid=head.vid, state=tstate, info=info, defining=defining, obj=obj
+            )
+            self.buffer.entries[rid] = entry
+        if entry.advance is None or entry.advance_version != self.tier_version:
+            entry.advance = self.system.advancer(entry.info, entry.defining)
+            entry.advance_version = self.tier_version
+        tstate, info = entry.state, entry.info
+        # Capture what every mask says *now*, and advance on exactly that:
+        # a commit-time replay from a different head can walk a different
+        # DFA path and ask for masks this advance never reached, and by
+        # then the transaction may have mutated ``obj`` — replay must see
+        # the posting-time outcomes.  Only the advance's own pseudo steps
+        # count in ``masks_evaluated_posting``; a mask that raises here is
+        # left unrecorded (the advance and any replay evaluate it live).
+        outcomes: dict[str, bool] = {}
+        masks = info.masks
+        if masks and self.replays and not entry.fresh:
+            masks = {}
+            for name, mask in info.masks.items():
+                try:
+                    outcomes[name] = bool(mask(obj, tstate.params, occurrence))
+                except Exception:
+                    masks[name] = mask
+                else:
+                    masks[name] = recorded(outcomes[name])
+        entry.events.append((eventnum, occurrence, outcomes))
+        # Shared with the chain mutex (MvccStats discipline): posting runs
+        # on concurrent session threads, so the increment must not tear.
+        with self.versions.stats._mutex:
+            self.versions.stats.buffered_advances += 1
+        return tstate, info, entry.advance, masks
+
+    def save(self, rid, tstate, info, new_state, span):
+        tstate.statenum = new_state
+        if span:
+            obs.emit("state.buffer", span, state_rid=rid, trigger=info.name)
+
+
+def post_event(
+    system: "TriggerSystem",
+    db: "Database",
+    eventnum: int,
+    ptr: PersistentPtr,
+    obj: "Persistent",
+    occurrence: EventOccurrence | None = None,
+) -> int:
+    """Post one basic event integer to one object; returns #firings queued."""
+    return post_many(system, db, ((eventnum, ptr, obj, occurrence),))
 
 
 def post_many(
@@ -444,8 +580,8 @@ def post_many(
     once per batch instead:
 
     * one ``txn_manager.current()`` resolution;
-    * one compiled-tier cache probe (2PL) — MVCC advances already cache
-      per machine on their :class:`~repro.core.versioned.BufferEntry`;
+    * one state-store set-up (the 2PL state-cache probe, or the MVCC
+      advance buffer);
     * one trigger-index lookup per *distinct rid*, via a batch-local
       ``rid -> state_rids`` cache;
     * one ``obs.ENABLED`` check for the quiet common case.
@@ -453,17 +589,15 @@ def post_many(
     The caches are dropped after any posting that fired: an immediate
     action can activate or deactivate machines (changing index buckets)
     and flip obs or the compiled tier, so nothing observed before the
-    firing may be trusted after it.
+    firing may be trusted after it.  :func:`post_event` is a batch of one.
     """
     stats = system.stats
     total = 0
-    txn = None
-    cache = _UNSET
+    txn = store = None
     index_cache: dict[int, list[int]] = {}
     tracing = obs.ENABLED
     for eventnum, ptr, obj, occurrence in batch:
         stats.events_posted += 1
-        stats.batched += 1
         if occurrence is None:
             occurrence = EventOccurrence(eventnum=eventnum)
         span = 0
@@ -475,15 +609,19 @@ def post_many(
                 rid=ptr.rid,
                 type=type(obj).__name__,
                 session=db.current_session().name,
-                batched=True,
             )
+        # Footnote 3: the persistent object's control information says
+        # whether any triggers are active — if not, no index lookup.
         if not obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
             stats.skipped_no_triggers += 1
             if span:
                 obs.end_span(span, "post", skipped="no-active-triggers")
             continue
-        if txn is None:
-            txn = db.txn_manager.current()
+        if store is None:
+            if txn is None:
+                txn = db.txn_manager.current()
+            scheme = _LockedStore if system.versions is None else _BufferedStore
+            store = scheme(system, db, txn)
         state_rids = index_cache.get(ptr.rid)
         if state_rids is None:
             state_rids = system.index.lookup(txn, ptr.rid)
@@ -496,138 +634,17 @@ def post_many(
                 txid=txn.txid,
                 states=len(state_rids),
             )
-        if cache is _UNSET and system.versions is None:
-            cache = _compiled_cache(system, txn)
-        fired = _post_to_states(
-            system, db, txn, eventnum, ptr, obj, occurrence, state_rids, span,
-            cache=cache,
+        fired = post_to_machines(
+            system, store, eventnum, obj, occurrence, state_rids, span
         )
+        if span:
+            obs.end_span(span, "post", firings=fired)
         total += fired
         if fired:
             index_cache.clear()
-            cache = _UNSET
+            store = None
             tracing = obs.ENABLED
     return total
-
-
-def _advance_buffered(
-    system: "TriggerSystem",
-    db: "Database",
-    txn: "Transaction",
-    state_rid: int,
-    eventnum: int,
-    obj: "Persistent",
-    occurrence: EventOccurrence,
-    span: int,
-) -> FiringRecord | None:
-    """Advance one machine against its per-transaction buffer entry.
-
-    First touch clones the latest *committed* version of the TriggerState
-    (no lock, no read of uncommitted data — see
-    :meth:`~repro.core.versioned.TriggerVersionManager.committed_head`);
-    later touches reuse the working copy.  Every posted event is appended
-    to the entry's log — including ones the FSM ignored from the current
-    state, because a commit-time replay from a *different* head may
-    consume them.  Returns a :class:`FiringRecord` when the machine
-    accepted, else ``None``.
-    """
-    from repro.core.versioned import BufferEntry
-
-    stats = system.stats
-    versions = system.versions
-    buffer = versions.buffer_of(txn)
-    entry = buffer.entries.get(state_rid)
-    if entry is None:
-        head = versions.committed_head(state_rid)
-        tstate = head.state.clone()
-        defining = db.registry.find(tstate.trigobjtype)
-        info = defining.trigger_info(tstate.triggernum)
-        entry = BufferEntry(
-            base_vid=head.vid, state=tstate, info=info, defining=defining, obj=obj
-        )
-        buffer.entries[state_rid] = entry
-    tstate, info = entry.state, entry.info
-
-    # The compiled tier composes with MVCC: the generated advance is
-    # cached on the entry and re-resolved when the tier's schema version
-    # moves (same staleness rule as the 2PL per-transaction cache).
-    advance = None
-    if system.compiled_enabled and not obs.ENABLED:
-        version = system.compiled.version
-        if entry.advance_version != version:
-            entry.advance = system.compiled.advancer_for(info, entry.defining)
-            entry.advance_version = version
-            if entry.advance is None:
-                stats.compiled_fallbacks += 1
-        advance = entry.advance
-
-    mask_outcomes: dict[str, bool] = {}
-    old_state = tstate.statenum
-    if advance is not None:
-        new_state, consumed, accepted, steps = advance(
-            old_state, eventnum, obj, tstate.params, occurrence
-        )
-        stats.masks_evaluated_posting += steps
-        stats.compiled_hits += 1
-        tstate.statenum = new_state
-    else:
-
-        def evaluate(mask_name: str) -> bool:
-            stats.masks_evaluated_posting += 1
-            outcome = bool(info.masks[mask_name](obj, tstate.params, occurrence))
-            mask_outcomes[mask_name] = outcome
-            if obs.ENABLED:
-                obs.emit(
-                    "mask.eval",
-                    span,
-                    mask=mask_name,
-                    trigger=info.name,
-                    outcome=outcome,
-                    phase="posting",
-                )
-            return outcome
-
-        result = info.fsm.advance(old_state, eventnum, evaluate)
-        tstate.statenum = result.state
-        accepted = result.accepted
-        if span:
-            obs.emit(
-                "fsm.advance",
-                span,
-                trigger=info.name,
-                from_state=old_state,
-                to_state=result.state,
-                consumed=result.consumed,
-                accepted=result.accepted,
-                pseudo_steps=result.pseudo_steps,
-            )
-    stats.fsm_advances += 1
-    if info.masks and versions.conflict_policy == "replay" and not entry.fresh:
-        # Capture what every remaining mask says *now*: a commit-time
-        # replay from a different head can walk a different DFA path and
-        # ask for masks this advance never reached, and by then the
-        # transaction may have mutated ``obj`` — replay must see the
-        # posting-time outcomes.  Bookkeeping, not posting semantics, so
-        # it stays out of ``masks_evaluated_posting``; a mask that raises
-        # here is left unrecorded (replay falls back to live evaluation).
-        for mask_name, mask in info.masks.items():
-            if mask_name not in mask_outcomes:
-                try:
-                    mask_outcomes[mask_name] = bool(
-                        mask(obj, tstate.params, occurrence)
-                    )
-                except Exception:
-                    pass
-    entry.events.append((eventnum, occurrence, mask_outcomes))
-    # Shared with the chain mutex (MvccStats discipline): posting runs on
-    # concurrent session threads, so the increment must not tear.
-    with versions.stats._mutex:
-        versions.stats.buffered_advances += 1
-    if span and tstate.statenum != old_state:
-        obs.emit("state.buffer", span, state_rid=state_rid, trigger=info.name)
-    if accepted:
-        return FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-    return None
 
 
 def dispatch_firing(

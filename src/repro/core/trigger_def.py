@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections.abc import Mapping
 from typing import Any, Callable
 
-from repro.errors import FSMError, TriggerDeclarationError
+from repro.errors import TriggerDeclarationError
 from repro.events.compile import CompiledMachine
-from repro.events.fsm import DEAD, MAX_PSEUDO_STEPS, AdvanceResult
+from repro.events.fsm import DEAD, quiesce_walk
 
 
 class CouplingMode(enum.Enum):
@@ -156,54 +157,39 @@ class IntFsm:
     def quiesce(
         self, statenum: int, evaluate_mask: Callable[[str], bool]
     ) -> tuple[int, int]:
-        """Evaluate pending masks, feeding pseudo-events back in."""
-        current, steps, _ = self._quiesce_tracking(statenum, evaluate_mask)
+        """Evaluate pending masks, feeding pseudo-events back in — the same
+        walk as :meth:`repro.events.fsm.Fsm.quiesce` (one value per mask
+        per instant; a revisited state is the instant's fixpoint)."""
+        current, steps, _ = quiesce_walk(
+            self, statenum, evaluate_mask, self.pseudo_ints.__getitem__
+        )
         return current, steps
 
-    def _quiesce_tracking(
-        self, statenum: int, evaluate_mask: Callable[[str], bool]
-    ) -> tuple[int, int, bool]:
-        """Quiesce, tracking whether any visited state accepts (see
-        :meth:`repro.events.fsm.Fsm._quiesce_tracking`)."""
-        current = statenum
-        steps = 0
-        seen_accept = current != DEAD and self.states[current].accept
-        while current != DEAD and self.states[current].masks:
-            if steps >= MAX_PSEUDO_STEPS:
-                raise FSMError("mask cascade did not quiesce")
-            mask = self.states[current].masks[0]
-            outcome = bool(evaluate_mask(mask))
-            pseudo = self.pseudo_ints[(mask, outcome)]
-            nxt, consumed = self.move(current, pseudo)
-            steps += 1
-            if not consumed:
-                break
-            current = nxt
-            seen_accept = seen_accept or (
-                current != DEAD and self.states[current].accept
-            )
-        return current, steps, seen_accept
+    def advancer(self, masks: Mapping[str, Callable[..., bool]]) -> Callable:
+        """The interpreter, behind the compiled tier's advance signature.
 
-    def advance(
-        self,
-        statenum: int,
-        eventnum: int,
-        evaluate_mask: Callable[[str], bool],
-    ) -> AdvanceResult:
-        """Post one basic event integer (paper Section 5.4.5, steps a–c).
-
+        Returns ``advance(statenum, eventnum, obj, params, event) ->
+        (state, consumed, accepted, steps)`` — paper Section 5.4.5 steps
+        (a)–(b): move on the basic event, then quiesce the mask
+        pseudo-events, calling ``masks[name](obj, params, event)``.
         Acceptance counts any state *visited* while processing the posting
-        — an accept state passed through during the mask cascade still
-        fires (footnote 5: at most once per posting either way).
+        (footnote 5: at most once per posting either way).  Like every
+        advancer, the result carries ``rebind(masks)``, which makes the
+        same advancer over another mask table.
         """
-        current, consumed = self.move(statenum, eventnum)
-        steps = 0
-        seen_accept = False
-        if consumed:
-            current, steps, seen_accept = self._quiesce_tracking(
-                current, evaluate_mask
+        move, pseudo = self.move, self.pseudo_ints.__getitem__
+
+        def advance(statenum, eventnum, obj, params, event):
+            current, consumed = move(statenum, eventnum)
+            if not consumed:
+                return current, False, False, 0
+            current, steps, accepted = quiesce_walk(
+                self, current, lambda name: masks[name](obj, params, event), pseudo
             )
-        return AdvanceResult(current, consumed, consumed and seen_accept, steps)
+            return current, True, accepted, steps
+
+        advance.rebind = self.advancer
+        return advance
 
 
 @dataclasses.dataclass
@@ -239,6 +225,11 @@ class TriggerInfo:
     #: callable), before ``_adapt_action`` wraps it — the effect-inference
     #: analyzer resolves string actions against the class from this
     action_spec: Any = None
+
+    def __post_init__(self) -> None:
+        #: this trigger's interpreted advance over its own masks — built
+        #: once, so the posting kernel can tell it from generated code
+        self.interpreter = self.fsm.advancer(self.masks)
 
     def __repr__(self) -> str:
         return (

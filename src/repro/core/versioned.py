@@ -211,8 +211,8 @@ class BufferEntry:
         self.obj = obj
         self.events: list = []
         self.fresh = fresh
-        #: Cached generated advance for the compiled tier (resolved
-        #: lazily, re-validated against the tier's schema version).
+        #: The advance posting resolved for this machine (generated or
+        #: interpreted), re-resolved when the tier's schema version moves.
         self.advance = None
         self.advance_version = None
 
@@ -326,9 +326,13 @@ class TriggerVersionManager:
 
         The activation insert already holds the record's X lock; the
         merge re-writes it through the normal locked path, and the chain
-        head is created only if the transaction commits.
+        head is created only if the transaction commits.  Storage may hand
+        out the rid of a machine this transaction deactivated: that rid is
+        live again, and :meth:`publish` starts its chain afresh.
         """
-        self.buffer_of(txn).entries[state_rid] = BufferEntry(
+        buffer = self.buffer_of(txn)
+        buffer.deactivated.discard(state_rid)
+        buffer.entries[state_rid] = BufferEntry(
             base_vid=0,
             state=tstate,
             info=info,
@@ -477,9 +481,14 @@ class TriggerVersionManager:
         durable — a published head must never precede its durability.
         """
         buffer = txn.attachments.get(ADVANCE_BUFFER)
+        entries = buffer.entries if buffer is not None else {}
         with self._chain_mutex:
             for state_rid, state in publishes:
-                prev = self._chains.get(state_rid)
+                entry = entries.get(state_rid)
+                # A machine this transaction activated has no history,
+                # even if its rid once belonged to a deactivated one.
+                fresh = entry is not None and entry.fresh
+                prev = None if fresh else self._chains.get(state_rid)
                 self._chains[state_rid] = StateVersion(
                     next(self._vids), state, prev
                 )
@@ -503,22 +512,19 @@ class TriggerVersionManager:
         ``entry.obj`` (2PL on ordinary objects means nobody else changed
         it under us).
         """
+        from repro.core.posting import recorded
+
         info = entry.info
         merged = base.clone()
         for eventnum, occurrence, outcomes in entry.events:
-
-            def evaluate(
-                mask_name: str, _occ=occurrence, _outcomes=outcomes
-            ) -> bool:
-                try:
-                    return _outcomes[mask_name]
-                except KeyError:
-                    return bool(
-                        info.masks[mask_name](entry.obj, merged.params, _occ)
-                    )
-
-            result = info.fsm.advance(merged.statenum, eventnum, evaluate)
-            merged.statenum = result.state
+            masks = {
+                name: recorded(outcomes[name]) if name in outcomes else mask
+                for name, mask in info.masks.items()
+            }
+            advance = info.interpreter.rebind(masks)
+            merged.statenum = advance(
+                merged.statenum, eventnum, entry.obj, merged.params, occurrence
+            )[0]
         return merged
 
     # -- introspection ----------------------------------------------------------

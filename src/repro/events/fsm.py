@@ -101,6 +101,48 @@ class FsmState:
         return f"state {self.statenum}{mask}{acc}: {edges or '<none>'}"
 
 
+def _pseudo_symbol(key: tuple[str, bool]) -> str:
+    mask, outcome = key
+    return (TRUE_PREFIX if outcome else FALSE_PREFIX) + mask
+
+
+def quiesce_walk(fsm, statenum: int, evaluate_mask, pseudo) -> tuple[int, int, bool]:
+    """The pseudo-event cascade shared by :class:`Fsm` and the run-time
+    :class:`repro.core.trigger_def.IntFsm`: ``(state, steps, seen_accept)``.
+
+    *fsm* provides ``states`` (with ``masks``/``accept``) and ``move``;
+    ``pseudo((mask, outcome))`` names the pseudo-event in its alphabet.
+    See :meth:`Fsm._quiesce_tracking` for the semantics.
+    """
+    current = statenum
+    steps = 0
+    seen_accept = current != DEAD and fsm.states[current].accept
+    outcomes: dict[str, bool] = {}
+    visited = {current}
+    while current != DEAD and fsm.states[current].masks:
+        if steps >= MAX_PSEUDO_STEPS:  # pragma: no cover - backstop
+            raise FSMError(
+                f"mask cascade did not quiesce after {MAX_PSEUDO_STEPS} "
+                "pseudo-events; the expression loops on a mask"
+            )
+        mask = fsm.states[current].masks[0]
+        outcome = outcomes.get(mask)
+        if outcome is None:
+            outcome = outcomes[mask] = bool(evaluate_mask(mask))
+        nxt, consumed = fsm.move(current, pseudo((mask, outcome)))
+        steps += 1
+        if not consumed:
+            break
+        current = nxt
+        seen_accept = seen_accept or (
+            current != DEAD and fsm.states[current].accept
+        )
+        if current in visited:
+            break  # pseudo-cycle: this instant's fixpoint
+        visited.add(current)
+    return current, steps, seen_accept
+
+
 @dataclasses.dataclass(frozen=True)
 class AdvanceResult:
     """Outcome of posting one basic event to a machine."""
@@ -209,34 +251,7 @@ class Fsm:
         obligation) — re-checking cannot change anything, so quiescing
         stops there and the machine rests until the next real event.
         """
-        current = statenum
-        pseudo_steps = 0
-        seen_accept = current != DEAD and self.states[current].accept
-        outcomes: dict[str, bool] = {}
-        visited = {current}
-        while current != DEAD and self.states[current].masks:
-            if pseudo_steps >= MAX_PSEUDO_STEPS:  # pragma: no cover - backstop
-                raise FSMError(
-                    f"mask cascade did not quiesce after {MAX_PSEUDO_STEPS} "
-                    "pseudo-events; the expression loops on a mask"
-                )
-            mask = self.states[current].masks[0]
-            outcome = outcomes.get(mask)
-            if outcome is None:
-                outcome = outcomes[mask] = bool(evaluate_mask(mask))
-            pseudo = (TRUE_PREFIX if outcome else FALSE_PREFIX) + mask
-            nxt, pseudo_consumed = self.move(current, pseudo)
-            pseudo_steps += 1
-            if not pseudo_consumed:
-                break
-            current = nxt
-            seen_accept = seen_accept or (
-                current != DEAD and self.states[current].accept
-            )
-            if current in visited:
-                break  # pseudo-cycle: this instant's fixpoint
-            visited.add(current)
-        return current, pseudo_steps, seen_accept
+        return quiesce_walk(self, statenum, evaluate_mask, _pseudo_symbol)
 
     def advance(
         self,

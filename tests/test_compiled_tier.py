@@ -377,8 +377,12 @@ def test_deactivation_purges_txn_cache(tmp_path):
         db.close()
 
 
-def test_obs_tracing_forces_interpreter(tmp_path):
-    db = Database.open(str(tmp_path / "traced"), engine="mm")
+@pytest.mark.parametrize("trigger_cc", ["2pl", "mvcc"])
+def test_obs_tracing_keeps_the_compiled_tier(tmp_path, trigger_cc):
+    """Tracing observes the code path that runs: the generated advance
+    still serves the posting, and its mask evaluations and the kernel's
+    advance record land inside the posting span."""
+    db = Database.open(str(tmp_path / "traced"), engine="mm", trigger_cc=trigger_cc)
     try:
         with db.transaction():
             h = db.pnew(TierGadget)
@@ -386,17 +390,20 @@ def test_obs_tracing_forces_interpreter(tmp_path):
             h.Hot()
         stats = db.trigger_system.stats
         stats.reset()
-        obs.enable(capacity=4096)
-        try:
+        with obs.enabled(capacity=4096) as recorder:
             with db.transaction():
                 db.deref(ptr).post_event("Tick")
-        finally:
-            recorder = obs.disable()
-        assert stats.compiled_hits == 0  # tracing wants per-mask events
-        assert any(r.kind == "mask.eval" for r in recorder.records())
-        with db.transaction():
-            db.deref(ptr).post_event("Tick")
         assert stats.compiled_hits == 1
+        assert stats.compiled_fallbacks == 0
+        records = recorder.records()
+        (span,) = [r.span for r in records if r.kind == "post.begin"]
+        inside = [r.kind for r in records if r.span == span]
+        assert inside[0] == "post.begin" and inside[-1] == "post.end"
+        assert inside.count("mask.eval") == 1
+        assert inside.count("fsm.advance") == 1
+        (mask,) = [r for r in records if r.kind == "mask.eval"]
+        assert (mask.get("mask"), mask.get("outcome")) == ("hot", False)
+        assert mask.get("phase") == "posting"
     finally:
         db.close()
 
