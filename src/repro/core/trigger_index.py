@@ -30,14 +30,18 @@ class TriggerIndex:
         ``(resource-class, mode)`` pairs — the static analyzer's source of
         truth for the index leg of a posting's footprint, kept next to the
         implementation so a storage-layout change updates both."""
-        # Header read (to find the bucket) then the bucket record itself;
-        # both shared — lookups never write the map.
+        # One shared lock on the bucket record: the bucket's rid comes
+        # from the committed header the map caches once per open, and the
+        # decoded bucket from the transaction's own cache after its first
+        # read.  Only a key whose bucket is not allocated yet reads the
+        # catalog and the header, shared too.  Lookups never write the map.
         return (("meta:index", "S"),)
 
     def meta_rids(self, txn: "Transaction") -> set[int]:
         """The concrete rids backing this index (header + buckets) — lets
         trace tooling classify lock records on index plumbing as ``meta``
-        rather than user data."""
+        rather than user data.  A lookup usually locks only its bucket;
+        the header is listed for the lookups that still read it."""
         loaded = self._map._load_header(txn, create=False)
         if loaded is None:
             return set()

@@ -18,12 +18,14 @@ strict 2PL (``"2pl"``) remaining the baseline:
   anchor object.  Read-only transactions therefore take **zero X locks**
   on ``state:*`` records, and the E6 deadlock cycle cannot form.
 
-* **Version chain.**  :class:`TriggerVersionManager` keeps, per state
-  rid, a chain of immutable :class:`StateVersion` snapshots.  The head is
-  always the latest *committed* image; chains are created lazily from the
-  storage engine's committed bytes (``storage.peek`` — no locks) and a
-  new head is published only after the publishing transaction's commit
-  record is durable.
+* **Version heads.**  :class:`TriggerVersionManager` keeps, per state
+  rid, the immutable :class:`StateVersion` head: the latest *committed*
+  image.  Heads are loaded lazily from the storage engine's committed
+  bytes (``storage.peek`` — no locks), and a new head is published only
+  after the publishing transaction's commit record is durable.  Nothing
+  reads a superseded version (a snapshot is identified by its
+  ``base_vid``, and a buffer entry clones the head), so a publish drops
+  the version it replaces.
 
 * **Commit-time merge.**  At commit, each buffered entry is validated
   against the then-current head.  If the base version is still the head,
@@ -36,7 +38,11 @@ strict 2PL (``"2pl"``) remaining the baseline:
   retry classifier treats like a deadlock (the whole transaction retries).
   Merged states are written through the normal WAL (``UPDATE`` records
   with before-images), so crash recovery, ``fsck`` ODE1xx, and the abort
-  path need no new machinery.
+  path need no new machinery.  A merged state equal to the committed
+  head (the machine came back to where it started) is neither written
+  nor published: its vid stays, so concurrent transactions buffered on
+  it need no replay, and a posting-only transaction whose machines all
+  return stays read-only (no log record, no force).
 
 The merge → storage-commit → publish sequence runs under the manager's
 ``commit_mutex`` so no other transaction can validate against a head that
@@ -164,14 +170,6 @@ class StateVersion:
 
     vid: int
     state: TriggerState  # never mutated after publication
-    prev: "StateVersion | None" = None
-
-    def chain_length(self) -> int:
-        length, node = 0, self
-        while node is not None:
-            length += 1
-            node = node.prev
-        return length
 
 
 class BufferEntry:
@@ -223,7 +221,7 @@ class AdvanceBuffer:
     def __init__(self) -> None:
         self.entries: dict[int, BufferEntry] = {}
         #: rids this transaction deactivated/deleted; the merge skips
-        #: them and publication drops their chains.
+        #: them and publication drops their heads.
         self.deactivated: set[int] = set()
 
     def __bool__(self) -> bool:
@@ -236,7 +234,7 @@ class MvccStats:
 
     Same discipline as :class:`~repro.storage.locks.LockStats`: every
     increment happens under :attr:`_mutex` (the owning
-    :class:`TriggerVersionManager` shares its chain mutex in), and
+    :class:`TriggerVersionManager` shares its head mutex in), and
     :meth:`snapshot`/:meth:`reset` take it too — posting increments
     ``buffered_advances`` from concurrent session threads, so an
     unguarded ``+=`` would lose counts and a reset racing an increment
@@ -245,12 +243,14 @@ class MvccStats:
 
     #: FSM advances served from the buffer instead of a locked write
     buffered_advances: int = 0
-    #: version chains materialized from committed storage bytes
+    #: heads loaded from committed storage bytes
     chains_loaded: int = 0
     #: buffered entries merged at commit
     merges: int = 0
     #: merges whose base version was still the committed head
     clean_merges: int = 0
+    #: merges whose state equalled the committed head: nothing written
+    unchanged_merges: int = 0
     #: lost-update conflicts detected at merge time
     conflicts: int = 0
     #: conflicts resolved by deterministic event replay
@@ -262,7 +262,7 @@ class MvccStats:
 
     def __post_init__(self) -> None:
         # Standalone instances (tests) get their own lock; a version
-        # manager replaces it with its chain mutex so snapshot/reset
+        # manager replaces it with its head mutex so snapshot/reset
         # serialize against the increments themselves.
         self._mutex = threading.Lock()
 
@@ -296,13 +296,13 @@ class TriggerVersionManager:
         self.db = db
         self.conflict_policy = conflict_policy
         #: state rid -> committed head version.
-        self._chains: dict[int, StateVersion] = {}
-        self._chain_mutex = threading.Lock()
+        self._heads: dict[int, StateVersion] = {}
+        self._head_mutex = threading.Lock()
         self.stats = MvccStats()
-        # Counter increments share the chain mutex (LockStats discipline):
-        # sites already inside ``with self._chain_mutex`` increment
+        # Counter increments share the head mutex (LockStats discipline):
+        # sites already inside ``with self._head_mutex`` increment
         # directly; everything else takes ``stats._mutex``.
-        self.stats._mutex = self._chain_mutex
+        self.stats._mutex = self._head_mutex
         #: Serializes [merge -> storage commit -> publish] per state-rid
         #: shard; reentrant shards so a diagnostic inside the section can
         #: still read heads.
@@ -325,10 +325,10 @@ class TriggerVersionManager:
         """Adopt a machine activated by *txn* itself into its buffer.
 
         The activation insert already holds the record's X lock; the
-        merge re-writes it through the normal locked path, and the chain
-        head is created only if the transaction commits.  Storage may hand
-        out the rid of a machine this transaction deactivated: that rid is
-        live again, and :meth:`publish` starts its chain afresh.
+        merge re-writes it through the normal locked path, and the head is
+        created only if the transaction commits.  Storage may hand out the
+        rid of a machine this transaction deactivated: that rid is live
+        again, and :meth:`publish` gives it a fresh head.
         """
         buffer = self.buffer_of(txn)
         buffer.deactivated.discard(state_rid)
@@ -347,35 +347,35 @@ class TriggerVersionManager:
         buffer.entries.pop(state_rid, None)
         buffer.deactivated.add(state_rid)
 
-    # -- the version chain -----------------------------------------------------
+    # -- the version heads -----------------------------------------------------
 
     def committed_head(self, state_rid: int) -> StateVersion:
         """The latest committed version of *state_rid*'s TriggerState.
 
-        Chains are loaded lazily from the engine's committed bytes via
+        Heads are loaded lazily from the engine's committed bytes via
         ``storage.peek`` — lock-free, which is sound because a state rid
         only becomes visible to other transactions once its activating
         transaction committed (the trigger index bucket is 2PL-locked),
         and every later mutation goes through this manager, which keeps
-        the chain current.
+        the head current.
         """
-        with self._chain_mutex:
-            head = self._chains.get(state_rid)
+        with self._head_mutex:
+            head = self._heads.get(state_rid)
         if head is not None:
             return head
         raw = self.db.storage.peek(state_rid)
         state = TriggerState.decode(raw)
-        with self._chain_mutex:
-            head = self._chains.get(state_rid)
+        with self._head_mutex:
+            head = self._heads.get(state_rid)
             if head is None:
                 head = StateVersion(next(self._vids), state)
-                self._chains[state_rid] = head
+                self._heads[state_rid] = head
                 self.stats.chains_loaded += 1
             return head
 
     def head_or_none(self, state_rid: int) -> StateVersion | None:
-        with self._chain_mutex:
-            return self._chains.get(state_rid)
+        with self._head_mutex:
+            return self._heads.get(state_rid)
 
     # -- commit-time merge ------------------------------------------------------
 
@@ -427,19 +427,19 @@ class TriggerVersionManager:
             if not entry.events:
                 continue  # loaded but never advanced: nothing to merge
             if not storage.exists(txn.txid, state_rid):
-                continue  # deactivated+committed elsewhere; chain already dropped
+                continue  # deactivated+committed elsewhere; head already dropped
             head = self.committed_head(state_rid)
             if head.vid == entry.base_vid:
                 merged = entry.state
-                with self._chain_mutex:
+                with self._head_mutex:
                     self.stats.merges += 1
                     self.stats.clean_merges += 1
             else:
-                with self._chain_mutex:
+                with self._head_mutex:
                     self.stats.merges += 1
                     self.stats.conflicts += 1
                 if self.conflict_policy == "abort":
-                    with self._chain_mutex:
+                    with self._head_mutex:
                         self.stats.conflict_aborts += 1
                     if obs.ENABLED:
                         obs.emit(
@@ -454,7 +454,7 @@ class TriggerVersionManager:
                         txn.txid, state_rid, entry.base_vid, head.vid
                     )
                 merged = self._replay(entry, head.state)
-                with self._chain_mutex:
+                with self._head_mutex:
                     self.stats.replays += 1
                 if obs.ENABLED:
                     obs.emit(
@@ -465,6 +465,12 @@ class TriggerVersionManager:
                         head_vid=head.vid,
                         resolution="replay",
                     )
+            if merged == head.state:
+                # Back at the committed head: the MVCC twin of 2PL's
+                # save-only-if-changed — no write, no new vid.
+                with self._head_mutex:
+                    self.stats.unchanged_merges += 1
+                continue
             # The WAL-logged, lock-free write: exclusion comes from the
             # commit mutex, not the lock manager — this is exactly the
             # "state:* stops being X-locked" property E6 measures.
@@ -481,21 +487,13 @@ class TriggerVersionManager:
         durable — a published head must never precede its durability.
         """
         buffer = txn.attachments.get(ADVANCE_BUFFER)
-        entries = buffer.entries if buffer is not None else {}
-        with self._chain_mutex:
+        with self._head_mutex:
             for state_rid, state in publishes:
-                entry = entries.get(state_rid)
-                # A machine this transaction activated has no history,
-                # even if its rid once belonged to a deactivated one.
-                fresh = entry is not None and entry.fresh
-                prev = None if fresh else self._chains.get(state_rid)
-                self._chains[state_rid] = StateVersion(
-                    next(self._vids), state, prev
-                )
+                self._heads[state_rid] = StateVersion(next(self._vids), state)
                 self.stats.versions_published += 1
             if buffer is not None:
                 for state_rid in buffer.deactivated:
-                    self._chains.pop(state_rid, None)
+                    self._heads.pop(state_rid, None)
 
     # -- deterministic replay ---------------------------------------------------
 
@@ -529,7 +527,8 @@ class TriggerVersionManager:
 
     # -- introspection ----------------------------------------------------------
 
-    def chain_lengths(self) -> dict[int, int]:
-        """rid -> published-chain length (diagnostics/tests)."""
-        with self._chain_mutex:
-            return {rid: head.chain_length() for rid, head in self._chains.items()}
+    def head_rids(self) -> list[int]:
+        """The state rids that have a committed head, ascending
+        (diagnostics/tests)."""
+        with self._head_mutex:
+            return sorted(self._heads)

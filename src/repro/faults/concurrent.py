@@ -44,7 +44,7 @@ from repro.faults.injector import FaultInjector, HitRecord
 from repro.workloads import chaos
 
 DEFAULT_SESSIONS = 4
-DEFAULT_TXNS = 3
+DEFAULT_TXNS = 4
 
 
 @dataclasses.dataclass

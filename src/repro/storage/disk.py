@@ -248,10 +248,14 @@ class DiskStorageManager(StorageManager):
                 f"{self.path}: degraded to read-only after a media error"
             )
 
-    def _append_logged(self, txid, kind, rid=-1, before=b"", after=b"") -> LogRecord:
-        """WAL append that degrades the engine on permanent media failure."""
+    def _log(self, txid, kind, rid=-1, before=b"", after=b"") -> None:
+        """Log one mutation of *txid*, preceded by its BEGIN if it is the
+        first; degrades the engine on permanent media failure."""
+        records = self._active[txid]
         try:
-            return self._wal.append(txid, kind, rid, before, after)
+            if not records:
+                self._wal.append(txid, LogRecordKind.BEGIN)
+            records.append(self._wal.append(txid, kind, rid, before, after))
         except UnrecoverableMediaError as exc:
             self._degrade()
             raise ReadOnlyStorageError(
@@ -266,48 +270,48 @@ class DiskStorageManager(StorageManager):
         with self._mutex:
             if txid in self._active:
                 raise StorageError(f"transaction {txid} already active")
+            # BEGIN is logged with the first mutation (see _log): a
+            # transaction that never writes leaves no trace in the log.
             self._active[txid] = []
-            if not self.degraded:  # read-only transactions stay possible
-                self._append_logged(txid, LogRecordKind.BEGIN)
 
     def commit_transaction(self, txid: int) -> None:
         self._check_open()
         with self._mutex:
             records = self._require_active(txid)
-            if self.degraded:
-                if records:
+            if records:
+                if self.degraded:
                     raise ReadOnlyStorageError(
                         f"cannot commit transaction {txid}: "
                         "database degraded to read-only with logged mutations"
                     )
-                del self._active[txid]
-                self.stats.commits += 1
-                self._locks.release_all(txid)
-                return
-            self.injector.fire("txn.commit.begin", txid=txid)
+                self.injector.fire("txn.commit.begin", txid=txid)
+                try:
+                    self._wal.append(txid, LogRecordKind.COMMIT)
+                except UnrecoverableMediaError as exc:
+                    self._degrade()
+                    raise ReadOnlyStorageError(
+                        f"commit of transaction {txid} failed permanently; "
+                        "database degraded to read-only"
+                    ) from exc
+        # A read-only commit appends and forces nothing: under strict 2PL
+        # it could only read what committed writers made durable before
+        # releasing their X locks.  A writer's durability fsync runs
+        # OUTSIDE the engine mutex: with group commit, concurrent
+        # committers elect a leader that fsyncs once for the batch;
+        # without it, overlapping appends are still safe because WAL
+        # durability is prefix-based (an fsync covering later records
+        # covers this COMMIT too).  The txid stays in ``_active`` until
+        # durable so an abort-after-failure can still undo it.
+        if records:
             try:
-                self._wal.append(txid, LogRecordKind.COMMIT)
+                self._wal.force()
             except UnrecoverableMediaError as exc:
                 self._degrade()
                 raise ReadOnlyStorageError(
                     f"commit of transaction {txid} failed permanently; "
                     "database degraded to read-only"
                 ) from exc
-        # The durability fsync runs OUTSIDE the engine mutex: with group
-        # commit, concurrent committers elect a leader that fsyncs once
-        # for the batch; without it, overlapping appends are still safe
-        # because WAL durability is prefix-based (an fsync covering later
-        # records covers this COMMIT too).  The txid stays in ``_active``
-        # until durable so an abort-after-failure can still undo it.
-        try:
-            self._wal.force()
-        except UnrecoverableMediaError as exc:
-            self._degrade()
-            raise ReadOnlyStorageError(
-                f"commit of transaction {txid} failed permanently; "
-                "database degraded to read-only"
-            ) from exc
-        self.injector.fire("txn.commit.durable", txid=txid)
+            self.injector.fire("txn.commit.durable", txid=txid)
         with self._mutex:
             del self._active[txid]
             self.stats.commits += 1
@@ -339,7 +343,7 @@ class DiskStorageManager(StorageManager):
                     # from the (fsynced prefix of the) log at next open.
                     self._degrade()
             self._redo(compensation)
-        if not self.degraded:
+        if records and not self.degraded:
             try:
                 self._wal.append(txid, LogRecordKind.ABORT)
             except UnrecoverableMediaError:
@@ -369,13 +373,10 @@ class DiskStorageManager(StorageManager):
         self._locks.lock(txid, rid, LockMode.X)
         with self._mutex:
             try:
-                record = self._append_logged(
-                    txid, LogRecordKind.INSERT, rid, b"", bytes(data)
-                )
+                self._log(txid, LogRecordKind.INSERT, rid, b"", bytes(data))
             except ReadOnlyStorageError:
                 self._delete_raw(rid)  # un-place the unlogged record (in memory)
                 raise
-            self._active[txid].append(record)
             self.stats.inserts += 1
         return rid
 
@@ -394,10 +395,7 @@ class DiskStorageManager(StorageManager):
         self._locks.lock(txid, rid, LockMode.X)
         with self._mutex:
             before = self._read_raw(rid)
-            record = self._append_logged(
-                txid, LogRecordKind.UPDATE, rid, before, bytes(data)
-            )
-            self._active[txid].append(record)
+            self._log(txid, LogRecordKind.UPDATE, rid, before, bytes(data))
             self._write_raw(rid, bytes(data))
             self.stats.writes += 1
 
@@ -409,10 +407,7 @@ class DiskStorageManager(StorageManager):
         self._require_active(txid)
         with self._mutex:
             before = self._read_raw(rid)
-            record = self._append_logged(
-                txid, LogRecordKind.UPDATE, rid, before, bytes(data)
-            )
-            self._active[txid].append(record)
+            self._log(txid, LogRecordKind.UPDATE, rid, before, bytes(data))
             self._write_raw(rid, bytes(data))
             self.stats.writes += 1
 
@@ -428,8 +423,7 @@ class DiskStorageManager(StorageManager):
         self._locks.lock(txid, rid, LockMode.X)
         with self._mutex:
             before = self._read_raw(rid)
-            record = self._append_logged(txid, LogRecordKind.DELETE, rid, before, b"")
-            self._active[txid].append(record)
+            self._log(txid, LogRecordKind.DELETE, rid, before, b"")
             self._delete_raw(rid)
             self.stats.deletes += 1
 
@@ -474,14 +468,13 @@ class DiskStorageManager(StorageManager):
         self._require_active(txid)
         self._locks.lock(txid, _ROOT_RESOURCE, LockMode.X)
         with self._mutex:
-            record = self._append_logged(
+            self._log(
                 txid,
                 LogRecordKind.SET_ROOT,
                 -1,
                 _FWD.pack(self._root),
                 _FWD.pack(rid),
             )
-            self._active[txid].append(record)
             self._root = rid
 
     # -- lifecycle ------------------------------------------------------------------------

@@ -172,27 +172,23 @@ class MainMemoryStorageManager(StorageManager):
         with self._mutex:
             if txid in self._active:
                 raise StorageError(f"transaction {txid} already active")
+            # BEGIN is logged with the first mutation (see _log): a
+            # transaction that never writes leaves no trace in the log.
             self._active[txid] = []
-            if self._wal is not None and not self.degraded:
-                try:
-                    self._wal.append(txid, LogRecordKind.BEGIN)
-                except UnrecoverableMediaError as exc:
-                    self._degrade()
-                    raise ReadOnlyStorageError(
-                        f"{self.path}: log append failed permanently; "
-                        "database degraded to read-only"
-                    ) from exc
 
     def commit_transaction(self, txid: int) -> None:
         self._check_open()
         with self._mutex:
             records = self._require_active(txid)
-            wal = self._wal if not self.degraded else None
             if self.degraded and records:
                 raise ReadOnlyStorageError(
                     f"cannot commit transaction {txid}: "
                     "database degraded to read-only with logged mutations"
                 )
+            # A read-only commit appends and forces nothing: it could only
+            # read what committed writers made durable before releasing
+            # their X locks (or, under MVCC, before publishing heads).
+            wal = self._wal if records else None
             if wal is not None:
                 self.injector.fire("txn.commit.begin", txid=txid)
                 try:
@@ -250,7 +246,7 @@ class MainMemoryStorageManager(StorageManager):
                 except UnrecoverableMediaError:
                     self._degrade()  # keep undoing in memory
             self._redo(compensation)
-        if self._wal is not None and not self.degraded:
+        if records and self._wal is not None and not self.degraded:
             try:
                 self._wal.append(txid, LogRecordKind.ABORT)
             except UnrecoverableMediaError:
@@ -270,9 +266,14 @@ class MainMemoryStorageManager(StorageManager):
     # -- data operations -----------------------------------------------------------
 
     def _log(self, txid, kind, rid=-1, before=b"", after=b"") -> None:
+        """Log one mutation of *txid*, preceded by its BEGIN if it is the
+        first; degrades the engine on permanent media failure."""
+        records = self._active[txid]
         record = LogRecord(0, txid, kind, rid, bytes(before), bytes(after))
         if self._wal is not None:
             try:
+                if not records:
+                    self._wal.append(txid, LogRecordKind.BEGIN)
                 record = self._wal.append(txid, kind, rid, before, after)
             except UnrecoverableMediaError as exc:
                 self._degrade()
@@ -280,7 +281,7 @@ class MainMemoryStorageManager(StorageManager):
                     f"{self.path}: log append failed permanently; "
                     "database degraded to read-only"
                 ) from exc
-        self._active[txid].append(record)
+        records.append(record)
 
     def insert(self, txid: int, data: bytes) -> int:
         self._check_open()

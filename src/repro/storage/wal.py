@@ -261,6 +261,11 @@ class WriteAheadLog:
         batched fsync; otherwise this is a plain :meth:`force_now`.
         """
         if not self.group_commit or current_wait_hooks() is not None:
+            with self._mutex:
+                if self._synced_size >= self._size:
+                    # Nothing appended since the last fsync (a buffer-pool
+                    # steal by a transaction that has not logged yet).
+                    return
             self.force_now()
             return
         self._force_grouped()

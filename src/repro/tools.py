@@ -250,7 +250,7 @@ def chaos_main(argv: list[str]) -> int:
         help="cap on crash points per engine (default: the whole trace)",
     )
     parser.add_argument("--sessions", type=int, default=4)
-    parser.add_argument("--txns", type=int, default=3)
+    parser.add_argument("--txns", type=int, default=4)
     parser.add_argument("--out", default=None, help="survival report JSON path")
     parser.add_argument("--workdir", default=None, help="scratch dir (default: temp)")
     args = parser.parse_args(argv)

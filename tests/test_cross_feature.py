@@ -158,9 +158,12 @@ class TestTracedCrashRecovery:
         # Recovery replays cleanly — traced as well.
         with obs.enabled() as recovery_recorder:
             recovered = Database.open(db_path, engine="disk")
-            with recovered.transaction():
+            with recovered.transaction() as txn:
                 balances = [recovered.deref(p).curr_bal for p in ptrs]
                 assert recovered.trigger_system.verify_integrity() == []
+                # A write, so the transaction appends to the WAL (a
+                # read-only one logs nothing).
+                recovered.catalog_set(txn, "test:recovered", ptrs[0].rid)
         assert all(b >= 0.0 for b in balances)
         recovery_records = recovery_recorder.records()
         assert any(r.kind == "wal.append" for r in recovery_records)

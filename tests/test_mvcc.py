@@ -222,13 +222,13 @@ def test_deactivate_with_buffered_advances_drops_entry_and_chain():
         with db.transaction():
             db.deref(ptr).post_event("Ping")  # materialize the chain
         versions = db.trigger_system.versions
-        assert versions.chain_lengths()
+        assert versions.head_rids()
         with db.transaction():
             h = db.deref(ptr)
             h.post_event("Ping")
             (tid, _, _), = db.trigger_system.active_triggers(ptr)
             db.trigger_system.deactivate(tid)
-        assert versions.chain_lengths() == {}
+        assert versions.head_rids() == []
         assert _statenums(db, ptr) == []
     finally:
         db.close()
@@ -378,7 +378,7 @@ def test_replay_uses_posting_time_mask_outcomes():
 
         # Simulate a concurrent committer: republish the head (same state,
         # new vid) so this transaction's merge takes the replay path.
-        (state_rid,) = versions.chain_lengths()
+        (state_rid,) = versions.head_rids()
         head = versions.head_or_none(state_rid)
         versions.publish(
             types.SimpleNamespace(attachments={}),
@@ -431,7 +431,7 @@ def test_failed_merge_rolls_back_under_the_commit_mutex():
         assert owned_at_abort == [True]
         # The rollback restored the committed bytes: storage agrees with
         # the published head, and the failed merge left no trace.
-        (state_rid,) = versions.chain_lengths()
+        (state_rid,) = versions.head_rids()
         head = versions.head_or_none(state_rid)
         assert (
             TriggerState.decode(storage.peek(state_rid)).statenum
@@ -490,7 +490,7 @@ def test_conflict_abort_storm_keeps_storage_consistent_with_heads():
         assert not errors, errors
 
         versions = db.trigger_system.versions
-        for state_rid in versions.chain_lengths():
+        for state_rid in versions.head_rids():
             head = versions.head_or_none(state_rid)
             assert (
                 TriggerState.decode(db.storage.peek(state_rid)).statenum
@@ -555,7 +555,7 @@ def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
 
         versions = db.trigger_system.versions
         # The fixture really exercises multiple shards.
-        rids = list(versions.chain_lengths())
+        rids = list(versions.head_rids())
         assert len({versions.commit_mutex.shard_of(rid) for rid in rids}) > 1
 
         errors: list[Exception] = []
@@ -591,7 +591,7 @@ def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
             t.join(timeout=120)
         assert not errors, errors
 
-        for state_rid in versions.chain_lengths():
+        for state_rid in versions.head_rids():
             head = versions.head_or_none(state_rid)
             assert (
                 TriggerState.decode(db.storage.peek(state_rid)).statenum
@@ -601,16 +601,37 @@ def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
         db.close()
 
 
-def test_version_chain_grows_one_head_per_publishing_commit():
+def test_head_advances_once_per_state_changing_commit_and_drops_the_old():
+    """Only the committed head is kept: each commit that moves the
+    machine publishes one new vid and leaves the version it replaced
+    unreachable; a commit that brings the machine back to its head
+    publishes nothing."""
+    import gc
+    import weakref
+
     db = _open(trigger_cc="mvcc")
     try:
         ptr = _setup_watched(db)
         versions = db.trigger_system.versions
-        for expected in (2, 3, 4):  # activation head + one per commit
+        (state_rid,) = versions.head_rids()
+        for event in ("Ping", "Pong", "Ping"):  # 0 -> 1 -> 2 -> 1
+            old = versions.head_or_none(state_rid)
+            old_vid, superseded = old.vid, weakref.ref(old)
+            del old
             with db.transaction():
-                db.deref(ptr).post_event("Ping")
-            (length,) = versions.chain_lengths().values()
-            assert length == expected
+                db.deref(ptr).post_event(event)
+            head = versions.head_or_none(state_rid)
+            assert head.vid > old_vid
+            del head
+            gc.collect()
+            assert superseded() is None, "a superseded version is still reachable"
+        vid = versions.head_or_none(state_rid).vid
+        with db.transaction():  # Pong then Ping: 1 -> 2 -> 1, back at the head
+            h = db.deref(ptr)
+            h.post_event("Pong")
+            h.post_event("Ping")
+        assert versions.head_or_none(state_rid).vid == vid
+        assert versions.head_rids() == [state_rid]
     finally:
         db.close()
 
